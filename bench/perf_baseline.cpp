@@ -13,6 +13,10 @@
 //                   metric the workspace-reuse work pins down: it must
 //                   stay O(1) in sequence length and step index.
 //
+// BENCH_PERF.json also records the host the numbers came from (CPU
+// model, vCPUs, SIMD path taken) and the thread count: absolute timings
+// do not transfer between hosts.
+//
 // Exit status is nonzero if any metric regresses more than 10% against
 // its baseline value. The timing baselines are deliberately conservative
 // floors (shared CI runners are noisy; the gate is for real regressions,
@@ -29,8 +33,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cim/analog_matmul.hpp"
@@ -38,6 +44,7 @@
 #include "serve/scheduler.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 // ---------------------------------------------------------------------
@@ -179,6 +186,30 @@ DecodeResult bench_decode(int n_requests, int new_tokens) {
   return r;
 }
 
+// --- host fingerprint -------------------------------------------------
+
+/// `"host":{"cpu":...,"nproc":...,"isa":...}` for BENCH_PERF.json.
+std::string host_json() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    cpu = line.substr(colon + 1);
+    cpu.erase(0, cpu.find_first_not_of(' '));
+    break;
+  }
+  std::string quoted;
+  for (const char c : cpu) {
+    if (c == '"' || c == '\\') quoted += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) quoted += c;
+  }
+  return "\"host\":{\"cpu\":\"" + quoted + "\",\"nproc\":" +
+         std::to_string(std::thread::hardware_concurrency()) + ",\"isa\":\"" +
+         util::simd::isa_name(util::simd::active()) + "\"}";
+}
+
 // --- baseline compare -------------------------------------------------
 
 /// Pull "key": <number> out of a flat JSON object; nan if absent.
@@ -235,9 +266,10 @@ int main(int argc, char** argv) {
                 "\"allocs_per_step\":%.1f,",
                 dec.tok_s, mvm_ns, dec.allocs_per_step);
   json += buf;
-  std::snprintf(buf, sizeof(buf), "\"threads\":%d,\"smoke\":%s}", threads,
+  std::snprintf(buf, sizeof(buf), "\"threads\":%d,\"smoke\":%s,", threads,
                 smoke ? "true" : "false");
   json += buf;
+  json += host_json() + "}";
   if (std::FILE* f = std::fopen(out_path.c_str(), "wb")) {
     std::fputs(json.c_str(), f);
     std::fputs("\n", f);

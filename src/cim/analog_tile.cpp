@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "util/simd.hpp"
-#include "util/simd_kernels.hpp"
 
 namespace nora::cim {
 
@@ -160,7 +159,7 @@ AnalogTile::AnalogTile(const Matrix& w_slice, const TileConfig& cfg,
     util::Rng drift_rng = rng.split("drift");
     drift_nu_t_ = drift_.sample_exponents(cols_, rows_, drift_rng);
   }
-  w_hat_t_effective_ = w_hat_t_;
+  pack_effective(w_hat_t_);
   if (cfg_.abft_checksum) {
     // The checksum column is programmed after repair/verify completes, so
     // the as-programmed signature absorbs programming noise, stuck-at
@@ -199,6 +198,18 @@ void AnalogTile::force_wear(Matrix& w_hat_t) const {
   for (const WearRecord& w : wear_) w_hat_t.at(w.j, w.k) = w.value;
 }
 
+void AnalogTile::pack_effective(const Matrix& w_hat_t) {
+  const auto rows = static_cast<std::size_t>(rows_);
+  const std::size_t n_panels =
+      (static_cast<std::size_t>(cols_) + util::simd::kPanelCols - 1) /
+      util::simd::kPanelCols;
+  panels_.assign(n_panels * rows * util::simd::kPanelCols, 0.0f);
+  for (std::int64_t j = 0; j < cols_; ++j) {
+    const float* wcol = w_hat_t.data() + j * rows_;
+    for (std::int64_t k = 0; k < rows_; ++k) effective(j, k) = wcol[k];
+  }
+}
+
 void AnalogTile::reset_stats() {
   adc_reads_ = 0;
   adc_saturations_ = 0;
@@ -207,25 +218,34 @@ void AnalogTile::reset_stats() {
 
 void AnalogTile::set_read_time(float t_seconds) {
   read_time_s_ = t_seconds;
-  w_hat_t_effective_ = w_hat_t_;
+  // The re-read re-derives the effective state, clearing transient
+  // upsets; the checksum signature follows the devices it sums. Drift
+  // runs on a transient column-major copy so the fault and wear maps
+  // keep their (column, row) addressing; only the panels persist.
+  const auto install = [&](const Matrix& w_hat_t) {
+    pack_effective(w_hat_t);
+    if (cfg_.abft_checksum) abft_eff_ = abft_signature(w_hat_t);
+  };
   if (cfg_.drift_enabled && t_seconds > 0.0f) {
-    drift_.apply(w_hat_t_effective_, drift_nu_t_, t_seconds);
+    Matrix drifted = w_hat_t_;
+    drift_.apply(drifted, drift_nu_t_, t_seconds);
     // Stuck devices are pinned at their defect conductance; drift acts
     // only on working devices.
-    force_faults(w_hat_t_effective_);
-    force_wear(w_hat_t_effective_);
+    force_faults(drifted);
+    force_wear(drifted);
+    install(drifted);
+  } else {
+    install(w_hat_t_);
   }
-  // The re-read re-derives the effective state, clearing transient
-  // upsets; the checksum signature follows the devices it sums.
-  if (cfg_.abft_checksum) abft_eff_ = abft_signature(w_hat_t_effective_);
 }
 
 void AnalogTile::upset_device(std::int64_t j, std::int64_t k, float value) {
   if (j < 0 || j >= cols_ || k < 0 || k >= rows_) {
     throw std::invalid_argument("AnalogTile::upset_device: out of range");
   }
-  const float old = w_hat_t_effective_.at(j, k);
-  w_hat_t_effective_.at(j, k) = value;
+  float& device = effective(j, k);
+  const float old = device;
+  device = value;
   if (cfg_.abft_checksum) {
     abft_eff_[static_cast<std::size_t>(k)] +=
         double(gamma_[static_cast<std::size_t>(j)]) * (double(value) - old);
@@ -261,17 +281,16 @@ bool AnalogTile::mvm(std::span<const float> x_hat, float x_hat_l2, float alpha,
   if (cfg_.abft_checksum && abft_rng == nullptr) {
     throw std::invalid_argument("AnalogTile::mvm: ABFT needs a checksum stream");
   }
-  const bool use_ir = ir_drop_.enabled();
   const float sigma_r = read_sigma();
   // Batch the per-column noise draws: the per-column pattern (read noise
   // then output noise, each gated by its config flag) is data-independent,
   // so one gaussian_fill produces exactly the draw sequence the former
   // per-column rng.gaussian calls consumed, in the same order. Scaling a
-  // standard normal g as `0.0 + stddev * g` below is the literal
-  // expression gaussian(0.0, stddev) evaluates, so every output bit is
-  // unchanged. stddev_r keeps the original single-precision
-  // sigma_r * x_hat_l2 product before widening, matching the old
-  // call-site argument exactly.
+  // standard normal g as fma(stddev, g, 0.0) in the epilogue is the
+  // compiled form of the expression gaussian(0.0, stddev) evaluates, so
+  // every output bit is unchanged. The read-noise stddev keeps the
+  // original single-precision sigma_r * x_hat_l2 product before
+  // widening, matching the old call-site argument exactly.
   const int draws_per_col =
       (sigma_r > 0.0f ? 1 : 0) + (cfg_.out_noise > 0.0f ? 1 : 0);
   const double* g = nullptr;
@@ -282,107 +301,40 @@ bool AnalogTile::mvm(std::span<const float> x_hat, float x_hat_l2, float alpha,
     rng.gaussian_fill(std::span<double>(scratch.noise.data(), need));
     g = scratch.noise.data();
   }
-  const double stddev_r = sigma_r * x_hat_l2;
-  const double stddev_o = cfg_.out_noise;
-  bool any_saturated = false;
-  // Per-column epilogue: short-term read noise (aggregated, statistically
-  // exact) and the system additive output noise, both before the ADC,
-  // then quantize and scale into y. The draws were prefilled in column
-  // order, so grouping columns below does not reorder them.
-  const auto finish_col = [&](std::int64_t j, float acc) {
-    if (sigma_r > 0.0f) {
-      acc += static_cast<float>(0.0 + stddev_r * (*g++));
-    }
-    if (cfg_.out_noise > 0.0f) {
-      acc += static_cast<float>(0.0 + stddev_o * (*g++));
-    }
-    ++counters.adc_reads;
-    if (adc_.saturates(acc)) {
-      ++counters.adc_saturations;
-      any_saturated = true;
-    }
-    acc = adc_.quantize(acc);
-    y[j] += alpha * gamma_[static_cast<std::size_t>(j)] * acc;
-  };
-  // Columns are mutually independent, and one column's accumulation is a
-  // serial double-add chain; running four side by side pipelines the
-  // chains through the FP units without changing any column's operation
-  // sequence — every output bit matches the one-column-at-a-time loop.
-  const float* wbase = w_hat_t_effective_.data();
-  const std::size_t n = static_cast<std::size_t>(rows_);
-  // Kernel dispatch, resolved once per process: the AVX2 kernels run the
-  // identical per-column op sequence (including the compiled FMA
-  // contractions) on eight columns at a time, so every output bit matches
-  // the scalar loops below; finish_col still runs in ascending j order,
-  // which keeps the prefilled noise-draw consumption order unchanged.
-  const bool use_avx2 = util::simd::use_avx2();
-  std::int64_t j = 0;
-  if (use_ir) {
-    if (use_avx2) {
-      const float kappa = ir_drop_.kappa();
-      for (; j + 8 <= cols_; j += 8) {
-        float acc8[8];
-        util::simd::ir_fused8_avx2(wbase + j * rows_, rows_, x_hat.data(), n,
-                                   kappa, acc8);
-        for (int t = 0; t < 8; ++t) finish_col(j + t, acc8[t]);
-      }
-    }
-    for (; j + 4 <= cols_; j += 4) {
-      float acc4[4];
-      ir_drop_.accumulate_columns_fused4(wbase + j * rows_,
-                                         wbase + (j + 1) * rows_,
-                                         wbase + (j + 2) * rows_,
-                                         wbase + (j + 3) * rows_,
-                                         x_hat.data(), n, acc4);
-      finish_col(j, acc4[0]);
-      finish_col(j + 1, acc4[1]);
-      finish_col(j + 2, acc4[2]);
-      finish_col(j + 3, acc4[3]);
-    }
-  } else {
-    if (use_avx2) {
-      for (; j + 8 <= cols_; j += 8) {
-        float acc8[8];
-        util::simd::mvm_dot8_avx2(wbase + j * rows_, rows_, x_hat.data(), n,
-                                  acc8);
-        for (int t = 0; t < 8; ++t) finish_col(j + t, acc8[t]);
-      }
-    }
-    for (; j + 4 <= cols_; j += 4) {
-      const float* w0 = wbase + j * rows_;
-      const float* w1 = wbase + (j + 1) * rows_;
-      const float* w2 = wbase + (j + 2) * rows_;
-      const float* w3 = wbase + (j + 3) * rows_;
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      for (std::size_t k = 0; k < n; ++k) {
-        const double xk = x_hat[k];
-        s0 += double(w0[k]) * xk;
-        s1 += double(w1[k]) * xk;
-        s2 += double(w2[k]) * xk;
-        s3 += double(w3[k]) * xk;
-      }
-      finish_col(j, static_cast<float>(s0));
-      finish_col(j + 1, static_cast<float>(s1));
-      finish_col(j + 2, static_cast<float>(s2));
-      finish_col(j + 3, static_cast<float>(s3));
-    }
+  // Crossbar accumulate over the panel-major conductances, then the ADC
+  // epilogue over the per-column sums. Both kernels run each column's
+  // op sequence unchanged (the column-major recurrence, then noise,
+  // quantize and scale in ascending column order, draining the prefilled
+  // draws in the order they were drawn), so every ISA level produces
+  // the same bits.
+  const util::simd::Isa isa = util::simd::active();
+  const std::size_t n_panels = panels_.size() /
+                               (static_cast<std::size_t>(rows_) *
+                                util::simd::kPanelCols);
+  if (scratch.acc.size() < n_panels * util::simd::kPanelCols) {
+    scratch.acc.resize(n_panels * util::simd::kPanelCols);
   }
-  for (; j < cols_; ++j) {
-    const float* wcol = wbase + j * rows_;
-    float acc;
-    if (use_ir) {
-      acc = ir_drop_.accumulate_column_fused(wcol, x_hat.data(), n);
-    } else {
-      double s = 0.0;
-      for (std::size_t k = 0; k < n; ++k) s += double(wcol[k]) * x_hat[k];
-      acc = static_cast<float>(s);
-    }
-    finish_col(j, acc);
-  }
+  util::simd::panel_mvm(isa, panels_.data(), n_panels,
+                        static_cast<std::size_t>(rows_), x_hat.data(),
+                        ir_drop_.enabled(), ir_drop_.kappa(),
+                        scratch.acc.data());
+  util::simd::AdcEpilogue epi;
+  epi.read_noise = sigma_r > 0.0f;
+  epi.out_noise = cfg_.out_noise > 0.0f;
+  epi.read_sd = sigma_r * x_hat_l2;
+  epi.out_sd = cfg_.out_noise;
+  epi.steps = adc_.steps();
+  epi.bound = adc_.bound();
+  epi.alpha = alpha;
+  const std::int64_t saturated = util::simd::adc_epilogue(
+      isa, epi, scratch.acc.data(), gamma_.data(), g,
+      static_cast<std::size_t>(cols_), y.data());
+  counters.adc_reads += cols_;
+  counters.adc_saturations += saturated;
   if (cfg_.abft_checksum) {
     abft_check(x_hat, x_hat_l2, alpha, *abft_rng, counters.abft);
   }
-  return any_saturated;
+  return saturated > 0;
 }
 
 bool AnalogTile::mvm(std::span<const float> x_hat, float x_hat_l2, float alpha,

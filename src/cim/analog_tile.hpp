@@ -29,6 +29,7 @@
 #include "noise/read_noise.hpp"
 #include "tensor/matrix.hpp"
 #include "util/rng.hpp"
+#include "util/simd_kernels.hpp"
 
 namespace nora::cim {
 
@@ -72,11 +73,14 @@ struct TileRunCounters {
 /// Caller-owned scratch for the thread-safe mvm form. One MVM drains up
 /// to two Gaussian draws per column (read noise + output noise); the
 /// tile prefills them into `noise` with a single batched
-/// Rng::gaussian_fill instead of 2*cols individual calls. The buffer
-/// grows to the high-water mark on first use and is reused verbatim
-/// afterwards, so a warmed-up scratch performs zero allocations per MVM.
+/// Rng::gaussian_fill instead of 2*cols individual calls, and the
+/// crossbar accumulate leaves one value per column (padded to whole
+/// panels) in `acc` for the ADC epilogue. The buffers grow to their
+/// high-water marks on first use and are reused verbatim afterwards, so
+/// a warmed-up scratch performs zero allocations per MVM.
 struct TileMvmScratch {
   std::vector<double> noise;  // prefilled standard normals, drained per column
+  std::vector<float> acc;     // per-column crossbar sums, before the ADC
 };
 
 class AnalogTile {
@@ -154,6 +158,16 @@ class AnalogTile {
   void force_faults(Matrix& w_hat_t) const;
   /// Re-apply recorded wear faults (after drift re-derives the state).
   void force_wear(Matrix& w_hat_t) const;
+  /// Install the given [cols x rows] conductances as the effective state
+  /// (repacked panel-major).
+  void pack_effective(const Matrix& w_hat_t);
+  /// The effective conductance of (logical column j, row k).
+  float& effective(std::int64_t j, std::int64_t k) {
+    const auto p = static_cast<std::size_t>(j) / util::simd::kPanelCols;
+    const auto l = static_cast<std::size_t>(j) % util::simd::kPanelCols;
+    return panels_[(p * static_cast<std::size_t>(rows_) +
+                    static_cast<std::size_t>(k)) * util::simd::kPanelCols + l];
+  }
   /// Gamma-folded column-sum signature of the given conductances.
   std::vector<double> abft_signature(const Matrix& w_hat_t) const;
   /// One checksum-column read + comparison against the signature.
@@ -173,7 +187,10 @@ class AnalogTile {
   std::int64_t cols_ = 0;
   std::vector<float> gamma_;   // per-column scale
   Matrix w_hat_t_;             // programmed conductances, TRANSPOSED [cols x rows]
-  Matrix w_hat_t_effective_;   // after drift at current read time
+  // Effective conductances at the current read time (drift, faults and
+  // upsets applied) — the only copy of that state, kept panel-major
+  // [ceil(cols/8)][rows][8] with zero padding for util::simd::panel_mvm.
+  std::vector<float> panels_;
   Matrix drift_nu_t_;          // per-device drift exponents [cols x rows]
   noise::UniformQuantizer adc_;
   noise::ShortTermReadNoise read_noise_;

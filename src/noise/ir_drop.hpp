@@ -30,9 +30,9 @@ class IrDropModel {
   /// per-row contributions (w_hat_kj * x_hat_k), streamed in row order.
   /// contributions[k] = w_hat_kj * x_hat_k.
   ///
-  /// Defined inline: this prefix-sum loop is the single hottest loop in
-  /// the analog forward (one call per tile column), and an out-of-line
-  /// definition costs a call + blocks vectorization at every site.
+  /// With IR drop enabled this is the per-column recurrence the tile MVM
+  /// runs on panel-major conductances (util::simd::panel_mvm, IR form);
+  /// the tile's IR-off dot product is a double fma chain instead.
   float accumulate_column(std::span<const float> contributions) const {
     if (!enabled()) {
       double acc = 0.0;
@@ -47,67 +47,6 @@ class IrDropModel {
       acc += static_cast<double>(c) * (1.0 - kappa_ * cum_abs * inv_n);
     }
     return static_cast<float>(acc);
-  }
-
-  /// Fused variant: forms each per-row contribution w[k] * x[k] on the
-  /// fly instead of reading a pre-filled scratch column. The product is
-  /// the same single-precision multiply the scratch fill performed, and
-  /// the accumulation is the identical double-precision recurrence, so
-  /// the result is bit-for-bit equal to
-  ///   contrib[k] = w[k] * x[k]; accumulate_column(contrib)
-  /// without the store/reload through the scratch buffer.
-  float accumulate_column_fused(const float* w, const float* x,
-                                std::size_t n) const {
-    if (!enabled()) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < n; ++k) acc += w[k] * x[k];
-      return static_cast<float>(acc);
-    }
-    const double inv_n = 1.0 / static_cast<double>(n);
-    double cum_abs = 0.0;
-    double acc = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-      const float c = w[k] * x[k];
-      cum_abs += std::fabs(c);
-      acc += static_cast<double>(c) * (1.0 - kappa_ * cum_abs * inv_n);
-    }
-    return static_cast<float>(acc);
-  }
-
-  /// Four-column fused variant: runs accumulate_column_fused's exact
-  /// recurrence on four independent columns simultaneously. Each
-  /// column's operation sequence is unchanged — the columns merely
-  /// interleave in time — so every out[i] is bit-for-bit equal to the
-  /// single-column call. The point is instruction-level parallelism:
-  /// one column is a serial double-add chain (~4-cycle latency per
-  /// row), but four independent chains pipeline through the FP adders
-  /// and roughly quadruple the hot loop's throughput.
-  void accumulate_columns_fused4(const float* w0, const float* w1,
-                                 const float* w2, const float* w3,
-                                 const float* x, std::size_t n,
-                                 float out[4]) const {
-    const double inv_n = 1.0 / static_cast<double>(n);
-    double ca0 = 0.0, ca1 = 0.0, ca2 = 0.0, ca3 = 0.0;
-    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-      const float xk = x[k];
-      const float c0 = w0[k] * xk;
-      const float c1 = w1[k] * xk;
-      const float c2 = w2[k] * xk;
-      const float c3 = w3[k] * xk;
-      ca0 += std::fabs(c0);
-      a0 += static_cast<double>(c0) * (1.0 - kappa_ * ca0 * inv_n);
-      ca1 += std::fabs(c1);
-      a1 += static_cast<double>(c1) * (1.0 - kappa_ * ca1 * inv_n);
-      ca2 += std::fabs(c2);
-      a2 += static_cast<double>(c2) * (1.0 - kappa_ * ca2 * inv_n);
-      ca3 += std::fabs(c3);
-      a3 += static_cast<double>(c3) * (1.0 - kappa_ * ca3 * inv_n);
-    }
-    out[0] = static_cast<float>(a0);
-    out[1] = static_cast<float>(a1);
-    out[2] = static_cast<float>(a2);
-    out[3] = static_cast<float>(a3);
   }
 
  private:

@@ -12,9 +12,15 @@
 //   - With zero workers (the default) parallel_for degrades to a plain
 //     sequential loop with no synchronization, so single-threaded runs
 //     pay nothing and stay on the exact same code path.
+//   - Fork/join is spin-then-park: an idle worker spins on the posted-job
+//     counter for kSpinWindow before it parks on the condition variable,
+//     and the caller spins on its job's done count before it waits, so
+//     the back-to-back loops of a decode step hand off without a futex
+//     round trip. A notify is sent only when a thread is parked.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -74,6 +80,12 @@ class ThreadPool {
     std::exception_ptr error;  // written once by the failed CAS winner
   };
 
+  /// How long an idle worker (or a caller waiting for its job) spins
+  /// before it parks: long enough to bridge the gaps between the
+  /// parallel loops of one decode step, short enough that an idle pool
+  /// gives its cores back within a millisecond.
+  static constexpr std::chrono::microseconds kSpinWindow{1000};
+
   void worker_loop();
   /// Claim and run chunks of `job` until none are left.
   void assist(Job& job);
@@ -85,6 +97,11 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::vector<std::shared_ptr<Job>> jobs_;  // active jobs, newest assisted first
   std::atomic<int> n_threads_{1};
+  // Bumped (under m_) on every job post and on stop: spinning workers
+  // watch it instead of the lock-guarded job list.
+  std::atomic<std::uint64_t> posted_{0};
+  int parked_workers_ = 0;   // workers blocked on cv_work_ (guarded by m_)
+  int parked_callers_ = 0;   // callers blocked on cv_done_ (guarded by m_)
   bool stop_ = false;
 };
 

@@ -1,9 +1,14 @@
 // Tests for the single-tile analog MVM (Eq. 3-5) and its invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "cim/analog_tile.hpp"
+#include "noise/drift.hpp"
+#include "noise/ir_drop.hpp"
+#include "noise/quantizer.hpp"
 #include "tensor/ops.hpp"
 
 namespace nora::cim {
@@ -164,6 +169,131 @@ TEST(AnalogTile, DriftReducesThenCompensationRestoresScale) {
   tile2.set_read_time(3600.0f);
   tile2.mvm(x_hat, xl2, 1.0f, yc, rng);
   EXPECT_NEAR(yc[0], y0[0], 1e-3);
+}
+
+/// Column-major reference of AnalogTile::mvm over known effective
+/// conductances g_cm[j * rows + k]: per column the row-ordered std::fma
+/// recurrence (IR-drop form when enabled), then read and output noise
+/// from a copy of the tile's stream (drawn in the same batched order),
+/// the production ADC quantizer, and y[j] = fma(alpha * gamma_j, q, y[j]).
+std::vector<float> reference_mvm(const std::vector<float>& g_cm,
+                                 std::int64_t rows, std::int64_t cols,
+                                 std::span<const float> gamma,
+                                 const std::vector<float>& x_hat, float x_l2,
+                                 float alpha, const TileConfig& cfg,
+                                 std::vector<float> y, util::Rng rng,
+                                 std::int64_t& saturations) {
+  const float sigma_r = cfg.w_noise;  // no 1/f component configured
+  const std::size_t d =
+      (sigma_r > 0.0f ? 1u : 0u) + (cfg.out_noise > 0.0f ? 1u : 0u);
+  std::vector<double> draws(d * static_cast<std::size_t>(cols));
+  if (d > 0) rng.gaussian_fill(draws);
+  const noise::IrDropModel ir(cfg.ir_drop, static_cast<int>(rows));
+  const noise::UniformQuantizer adc(cfg.adc_steps(), cfg.adc_bound);
+  const double inv_n = 1.0 / static_cast<double>(rows);
+  const double* g = draws.data();
+  for (std::int64_t j = 0; j < cols; ++j) {
+    double ca = 0.0, acc = 0.0;
+    for (std::int64_t k = 0; k < rows; ++k) {
+      const float w = g_cm[static_cast<std::size_t>(j * rows + k)];
+      const float x = x_hat[static_cast<std::size_t>(k)];
+      if (ir.enabled()) {
+        const float c = w * x;
+        ca += static_cast<double>(std::fabs(c));
+        const double t = static_cast<double>(ir.kappa()) * ca;
+        acc = std::fma(static_cast<double>(c), std::fma(-t, inv_n, 1.0), acc);
+      } else {
+        acc = std::fma(static_cast<double>(w), static_cast<double>(x), acc);
+      }
+    }
+    float v = static_cast<float>(acc);
+    if (sigma_r > 0.0f) {
+      v += static_cast<float>(
+          std::fma(static_cast<double>(sigma_r * x_l2), *g++, 0.0));
+    }
+    if (cfg.out_noise > 0.0f) {
+      v += static_cast<float>(
+          std::fma(static_cast<double>(cfg.out_noise), *g++, 0.0));
+    }
+    if (adc.saturates(v)) ++saturations;
+    v = adc.quantize(v);
+    float& yj = y[static_cast<std::size_t>(j)];
+    yj = std::fma(alpha * gamma[static_cast<std::size_t>(j)], v, yj);
+  }
+  return y;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(AnalogTile, MvmMatchesColumnMajorReferenceThroughStateChanges) {
+  // Deterministic conductances (no programming noise) so the reference
+  // knows every device; read/output noise, IR drop and a low ADC bound
+  // (so some columns saturate) stay on. Ragged shape: 21 columns leave a
+  // partly padded last panel.
+  const std::int64_t rows = 40, cols = 21;
+  const Matrix w = random_matrix(rows, cols, 41);
+  for (const bool abft : {false, true}) {
+    TileConfig cfg = TileConfig::ideal();
+    cfg.ir_drop = 1.0f;
+    cfg.adc_bits = 7;
+    cfg.adc_bound = 1.5f;
+    cfg.out_noise = 0.04f;
+    cfg.w_noise = 0.0175f;
+    cfg.drift_enabled = true;
+    cfg.drift.nu_sigma = 0.0f;       // every device drifts with nu_mean
+    cfg.drift.compensate = false;    // so the drift is visible in y
+    cfg.abft_checksum = abft;
+    AnalogTile tile(w, cfg, util::Rng(42));
+    const auto gamma = tile.gamma();
+    std::vector<float> programmed(static_cast<std::size_t>(rows * cols));
+    for (std::int64_t j = 0; j < cols; ++j) {
+      for (std::int64_t k = 0; k < rows; ++k) {
+        programmed[static_cast<std::size_t>(j * rows + k)] =
+            w.at(k, j) / gamma[static_cast<std::size_t>(j)];
+      }
+    }
+    std::vector<float> x_hat = random_vec(rows, 43);
+    for (auto& v : x_hat) v = std::clamp(v, -1.0f, 1.0f);
+    const float x_l2 = l2(x_hat);
+    const std::vector<float> y0 = random_vec(cols, 44);
+    util::Rng rng(45);
+    std::int64_t ref_saturations = 0;
+    const auto check = [&](const std::vector<float>& g_cm, const char* what) {
+      const std::vector<float> want =
+          reference_mvm(g_cm, rows, cols, gamma, x_hat, x_l2, 1.3f, cfg, y0,
+                        rng, ref_saturations);
+      std::vector<float> y = y0;
+      tile.mvm(x_hat, x_l2, 1.3f, y, rng);
+      EXPECT_TRUE(same_bits(y, want)) << what << ", abft " << abft;
+      EXPECT_EQ(tile.adc_saturations(), ref_saturations) << what;
+    };
+    std::vector<float> state = programmed;
+    check(state, "as programmed");
+    tile.upset_device(3, 7, 0.9f);
+    state[3 * rows + 7] = 0.9f;
+    check(state, "after upset_device");
+    tile.wear_stuck(12, 0, -0.5f);
+    programmed[12 * rows + 0] = -0.5f;
+    state[12 * rows + 0] = -0.5f;
+    check(state, "after wear_stuck");
+    // Drift re-derives every device from the programmed state (clearing
+    // the upset) and re-pins the worn device.
+    const float t = 3600.0f;
+    const noise::PcmDriftModel drift(cfg.drift);
+    const float factor = drift.decay(cfg.drift.nu_mean, t) / drift.compensation(t);
+    tile.set_read_time(t);
+    for (std::size_t i = 0; i < state.size(); ++i) {
+      state[i] = programmed[i] * factor;
+    }
+    state[12 * rows + 0] = -0.5f;
+    check(state, "after set_read_time with drift");
+    tile.set_read_time(0.0f);
+    check(programmed, "after set_read_time(0)");
+    EXPECT_GT(ref_saturations, 0) << "the ADC bound should rail some columns";
+  }
 }
 
 TEST(AnalogTile, RejectsBadShapes) {

@@ -1,4 +1,4 @@
-// Bit-equality of the AVX2+FMA kernels against their scalar op maps.
+// Bit-equality of the vector kernels against their scalar op maps.
 //
 // Each kernel in util/simd_kernels.hpp documents the exact scalar
 // operation sequence it vectorizes (including the FMA contractions the
@@ -6,7 +6,9 @@
 // with explicit std::fma — a correctly-rounded single operation, so the
 // reference is identical under every optimization level — and demand
 // the kernels match bit for bit on randomized inputs spanning several
-// magnitudes, plus the ragged tail lengths the gather fallbacks handle.
+// magnitudes, plus ragged lengths that exercise the scalar tails. The
+// panel-major tile MVM runs at every ISA level (scalar, AVX2, AVX-512)
+// against a column-major reference.
 // The golden-stream suite (run with NORA_FORCE_SCALAR on and off)
 // covers the production call sites end to end; this file pins each
 // kernel in isolation so a divergence names the broken kernel directly.
@@ -18,6 +20,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "noise/quantizer.hpp"
@@ -94,55 +97,209 @@ TEST(RoundHalfAway, MatchesStdRoundEverywhere) {
   }
 }
 
-TEST(SimdKernels, MvmDot8MatchesFmaChain) {
-  REQUIRE_AVX2();
-  std::mt19937 gen(7);
-  // Odd lengths exercise the per-row gather tail after the 4-wide body.
-  for (const std::size_t n : {1u, 4u, 7u, 16u, 33u, 257u}) {
-    const std::int64_t stride = static_cast<std::int64_t>(n);
-    const std::vector<float> w = random_floats(gen, 8 * n, 2.0f);
-    const std::vector<float> x = random_floats(gen, n, 2.0f);
-    float out[8];
-    util::simd::mvm_dot8_avx2(w.data(), stride, x.data(), n, out);
-    for (int i = 0; i < 8; ++i) {
-      double acc = 0.0;
-      const float* wi = w.data() + i * stride;
-      for (std::size_t k = 0; k < n; ++k) {
-        acc = std::fma(static_cast<double>(wi[k]),
-                       static_cast<double>(x[k]), acc);
+// --- panel-major tile MVM ---------------------------------------------
+
+/// Pack column-major [cols x rows] weights into the panel-major layout
+/// util::simd::panel_mvm reads: [ceil(cols/8)][rows][8], zero-padded.
+std::vector<float> pack_panels(const std::vector<float>& w_cm,
+                               std::size_t rows, std::size_t cols) {
+  const std::size_t P = util::simd::kPanelCols;
+  std::vector<float> panels((cols + P - 1) / P * rows * P, 0.0f);
+  for (std::size_t j = 0; j < cols; ++j) {
+    for (std::size_t k = 0; k < rows; ++k) {
+      panels[((j / P) * rows + k) * P + j % P] = w_cm[j * rows + k];
+    }
+  }
+  return panels;
+}
+
+/// The column-major reference accumulate: one column's recurrence with
+/// explicit std::fma (the contractions the compiled scalar loop makes).
+float reference_column(const float* w, const float* x, std::size_t rows,
+                       bool ir, float kappa) {
+  const double inv_n = 1.0 / static_cast<double>(rows);
+  double ca = 0.0, acc = 0.0;
+  for (std::size_t k = 0; k < rows; ++k) {
+    if (ir) {
+      const float c = w[k] * x[k];
+      ca += static_cast<double>(std::fabs(c));
+      const double t = static_cast<double>(kappa) * ca;
+      acc = std::fma(static_cast<double>(c), std::fma(-t, inv_n, 1.0), acc);
+    } else {
+      acc = std::fma(static_cast<double>(w[k]), static_cast<double>(x[k]),
+                     acc);
+    }
+  }
+  return static_cast<float>(acc);
+}
+
+/// The reference ADC read-out of one column, through the production
+/// quantizer. Returns true when the column saturated.
+bool reference_adc(const util::simd::AdcEpilogue& e,
+                   const noise::UniformQuantizer& adc, float v, float gamma,
+                   const double*& g, float& y) {
+  if (e.read_noise) v += static_cast<float>(std::fma(e.read_sd, *g++, 0.0));
+  if (e.out_noise) v += static_cast<float>(std::fma(e.out_sd, *g++, 0.0));
+  const bool saturated = adc.saturates(v);
+  v = adc.quantize(v);
+  y = std::fma(e.alpha * gamma, v, y);
+  return saturated;
+}
+
+/// NaN lanes only have to agree on NaN-ness; everything else bitwise.
+::testing::AssertionResult same_value_bits(float a, float b) {
+  if (std::isnan(a) && std::isnan(b)) return ::testing::AssertionSuccess();
+  return same_bits(a, b);
+}
+
+class PanelKernels : public ::testing::TestWithParam<util::simd::Isa> {
+ protected:
+  void SetUp() override {
+    if (!util::simd::supported(GetParam())) {
+      GTEST_SKIP() << util::simd::isa_name(GetParam())
+                   << " unavailable on this CPU/build";
+    }
+  }
+};
+
+TEST_P(PanelKernels, TileMvmMatchesColumnMajorReference) {
+  const util::simd::Isa isa = GetParam();
+  std::mt19937 gen(31);
+  std::normal_distribution<double> nd(0.0, 1.0);
+  std::uniform_int_distribution<int> pick(0, 15);
+  for (const std::size_t rows : {1u, 5u, 72u, 288u, 512u}) {
+    for (const std::size_t cols : {1u, 7u, 8u, 9u, 72u, 216u, 509u}) {
+      // Weights and inputs in [-1, 1] (normalized conductances and
+      // post-DAC inputs), salted with +-0 and full-scale values so sums
+      // rail the ADC; one all-zero column.
+      std::vector<float> w = random_floats(gen, rows * cols, 1.0f);
+      std::vector<float> x = random_floats(gen, rows, 1.0f);
+      for (auto& v : w) {
+        const int r = pick(gen);
+        if (r == 0) v = 0.0f;
+        if (r == 1) v = -0.0f;
+        if (r == 2) v = v < 0.0f ? -1.0f : 1.0f;
       }
-      EXPECT_TRUE(same_bits(out[i], static_cast<float>(acc)))
-          << "n = " << n << ", col " << i;
+      for (auto& v : x) {
+        const int r = pick(gen);
+        if (r == 0) v = 0.0f;
+        if (r == 1) v = -0.0f;
+        if (r == 2) v = 1.0f;
+      }
+      if (cols > 2) std::fill_n(w.begin() + rows, rows, 0.0f);
+      std::vector<float> gamma = random_floats(gen, cols, 2.0f);
+      for (auto& v : gamma) v = std::fabs(v) + 0.25f;
+      std::vector<double> draws(2 * cols);
+      for (auto& d : draws) d = nd(gen);
+      std::vector<float> y0 = random_floats(gen, cols, 1.0f);
+      if (cols > 3) {
+        y0[1] = 0.0f;
+        y0[2] = -0.0f;
+      }
+      const std::vector<float> panels = pack_panels(w, rows, cols);
+      const std::size_t n_panels = panels.size() / (rows * 8);
+      const float kappa = 0.05f * 1.0f * static_cast<float>(rows) / 512.0f;
+      for (const bool ir : {false, true}) {
+        std::vector<float> acc_ref(cols);
+        for (std::size_t j = 0; j < cols; ++j) {
+          acc_ref[j] =
+              reference_column(w.data() + j * rows, x.data(), rows, ir, kappa);
+        }
+        std::vector<float> acc(n_panels * 8, -1.0f);
+        util::simd::panel_mvm(isa, panels.data(), n_panels, rows, x.data(),
+                              ir, kappa, acc.data());
+        for (std::size_t j = 0; j < cols; ++j) {
+          ASSERT_TRUE(same_bits(acc[j], acc_ref[j]))
+              << "rows " << rows << ", cols " << cols << ", ir " << ir
+              << ", col " << j;
+        }
+        for (const bool read_noise : {false, true}) {
+          for (const bool out_noise : {false, true}) {
+            for (const float steps : {0.0f, 128.0f, 100.0f}) {
+              util::simd::AdcEpilogue e;
+              e.read_noise = read_noise;
+              e.out_noise = out_noise;
+              e.read_sd = static_cast<double>(0.0175f * 3.1f);
+              e.out_sd = static_cast<double>(0.04f);
+              e.steps = steps;
+              e.bound = 1.0f;
+              e.alpha = 1.37f;
+              const noise::UniformQuantizer adc(steps, e.bound);
+              std::vector<float> y_ref = y0;
+              const double* g = draws.data();
+              std::int64_t sat_ref = 0;
+              for (std::size_t j = 0; j < cols; ++j) {
+                sat_ref += reference_adc(e, adc, acc_ref[j], gamma[j], g,
+                                         y_ref[j]);
+              }
+              std::vector<float> y = y0;
+              const std::int64_t sat = util::simd::adc_epilogue(
+                  isa, e, acc.data(), gamma.data(), draws.data(), cols,
+                  y.data());
+              ASSERT_EQ(sat, sat_ref) << "rows " << rows << ", cols " << cols;
+              for (std::size_t j = 0; j < cols; ++j) {
+                ASSERT_TRUE(same_bits(y[j], y_ref[j]))
+                    << "rows " << rows << ", cols " << cols << ", ir " << ir
+                    << ", read " << read_noise << ", out " << out_noise
+                    << ", steps " << steps << ", col " << j;
+              }
+            }
+          }
+        }
+      }
     }
   }
 }
 
-TEST(SimdKernels, IrFused8MatchesScalarRecurrence) {
-  REQUIRE_AVX2();
-  std::mt19937 gen(11);
-  const float kappa = 0.05f * 1.0f * (48.0f / 512.0f);
-  for (const std::size_t n : {1u, 5u, 16u, 48u, 131u}) {
-    const std::int64_t stride = static_cast<std::int64_t>(n);
-    const std::vector<float> w = random_floats(gen, 8 * n, 1.0f);
-    const std::vector<float> x = random_floats(gen, n, 1.0f);
-    float out[8];
-    util::simd::ir_fused8_avx2(w.data(), stride, x.data(), n, kappa, out);
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (int i = 0; i < 8; ++i) {
-      const float* wi = w.data() + i * stride;
-      double ca = 0.0, acc = 0.0;
-      for (std::size_t k = 0; k < n; ++k) {
-        const float c = wi[k] * x[k];
-        ca += static_cast<double>(std::fabs(c));
-        const double t = static_cast<double>(kappa) * ca;
-        const double factor = std::fma(-t, inv_n, 1.0);
-        acc = std::fma(static_cast<double>(c), factor, acc);
+TEST_P(PanelKernels, AdcEpilogueEdgeValues) {
+  // Ties, +-0, values inside (-0.5, 0] steps (trunc to -0), full-scale
+  // and beyond, infinities and NaN, fed straight into the epilogue.
+  const util::simd::Isa isa = GetParam();
+  std::vector<float> acc = {0.0f,        -0.0f,       0.5f / 64.0f,
+                            -0.5f / 64.0f, 1.5f / 64.0f, -2.5f / 64.0f,
+                            -0.001f,     0.001f,      1.0f,
+                            -1.0f,       0.99999994f, -1.0000001f,
+                            3.0f,        -7.5f,       1e-30f,
+                            -1e-30f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::denorm_min(),
+                            63.5f / 64.0f, -64.5f / 64.0f, 0.25f, -0.75f};
+  const std::size_t cols = acc.size();
+  std::vector<float> gamma(cols, 1.0f);
+  std::vector<double> draws(2 * cols, 0.0);
+  for (const float steps : {0.0f, 128.0f, 100.0f}) {
+    util::simd::AdcEpilogue e;
+    e.steps = steps;
+    e.bound = 1.0f;
+    e.alpha = 1.0f;
+    const noise::UniformQuantizer adc(steps, e.bound);
+    for (const float y_init : {0.0f, -0.0f}) {
+      std::vector<float> y_ref(cols, y_init), y(cols, y_init);
+      const double* g = draws.data();
+      std::int64_t sat_ref = 0;
+      for (std::size_t j = 0; j < cols; ++j) {
+        sat_ref += reference_adc(e, adc, acc[j], gamma[j], g, y_ref[j]);
       }
-      EXPECT_TRUE(same_bits(out[i], static_cast<float>(acc)))
-          << "n = " << n << ", col " << i;
+      const std::int64_t sat = util::simd::adc_epilogue(
+          isa, e, acc.data(), gamma.data(), draws.data(), cols, y.data());
+      EXPECT_EQ(sat, sat_ref) << "steps " << steps;
+      for (std::size_t j = 0; j < cols; ++j) {
+        EXPECT_TRUE(same_value_bits(y[j], y_ref[j]))
+            << "steps " << steps << ", acc " << acc[j] << ", y0 " << y_init;
+      }
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Isas, PanelKernels,
+    ::testing::Values(util::simd::Isa::kScalar, util::simd::Isa::kAvx2,
+                      util::simd::Isa::kAvx512),
+    [](const ::testing::TestParamInfo<util::simd::Isa>& info) {
+      return std::string(util::simd::isa_name(info.param));
+    });
 
 TEST(SimdKernels, DacScaleClipQuantizeMatchesScalarPipeline) {
   REQUIRE_AVX2();
@@ -213,9 +370,12 @@ TEST(SimdDispatch, ActiveIsaIsStableAndNamed) {
   EXPECT_EQ(isa, util::simd::active());  // resolved once, then cached
   const char* name = util::simd::isa_name(isa);
   ASSERT_NE(name, nullptr);
-  EXPECT_TRUE(std::string(name) == "scalar" || std::string(name) == "avx2");
-  if (isa == util::simd::Isa::kAvx2) {
-    EXPECT_TRUE(have_avx2());
+  EXPECT_TRUE(std::string(name) == "scalar" || std::string(name) == "avx2" ||
+              std::string(name) == "avx512");
+  EXPECT_TRUE(util::simd::supported(isa));
+  if (isa != util::simd::Isa::kScalar) {
+    EXPECT_TRUE(have_avx2());  // every vector level runs the AVX2 kernels
+    EXPECT_TRUE(util::simd::use_avx2());
   }
 }
 

@@ -1,8 +1,12 @@
 // Tests for the deterministic work pool: full index coverage, disjoint
-// writes, nesting, exception propagation, resize semantics.
+// writes, nesting, exception propagation, resize semantics, and the
+// spin-then-park hand-off (workers spin about 1 ms after a loop, then
+// park on the condition variable).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -147,6 +151,114 @@ TEST(ThreadPool, CrossPoolNestingDoesNotDeadlock) {
     inner.parallel_for(16, [&](std::int64_t i) { sum.fetch_add(i); });
     EXPECT_EQ(sum.load(), 120) << "chip " << c;
   });
+}
+
+// Longer than the pool's spin window, so idle workers are parked (not
+// spinning) when the next loop is posted.
+constexpr std::chrono::milliseconds kPastSpinWindow{5};
+
+/// Runs one parallel_for and checks every index ran exactly once.
+void expect_full_cover(ThreadPool& pool, std::int64_t n) {
+  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+  pool.parallel_for(n, [&](std::int64_t i) {
+    hits[static_cast<std::size_t>(i)].fetch_add(1);
+  });
+  for (std::int64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "i=" << i;
+  }
+}
+
+TEST(ThreadPool, BurstsSeparatedBySleepsParkAndWake) {
+  // Each burst is back-to-back loops (the spinning hand-off); the sleep
+  // between bursts outlasts the spin window, so every burst's first loop
+  // has to wake parked workers.
+  ThreadPool pool(4);
+  std::atomic<int> on_workers{0};
+  const auto caller = std::this_thread::get_id();
+  for (int burst = 0; burst < 6; ++burst) {
+    for (int loop = 0; loop < 25; ++loop) expect_full_cover(pool, 64);
+    // Items that take a while let parked workers wake and claim some.
+    pool.parallel_for(8, [&](std::int64_t) {
+      if (std::this_thread::get_id() != caller) on_workers.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    });
+    std::this_thread::sleep_for(kPastSpinWindow);
+  }
+  if (ThreadPool::clamp_width(4) > 1) {
+    EXPECT_GT(on_workers.load(), 0) << "woken workers should share the work";
+  }
+}
+
+TEST(ThreadPool, ResizeAndDestroyWhileWorkersSpin) {
+  // Resizing or destroying a pool right after a loop catches its workers
+  // mid-spin; both must end the spin and join without hanging.
+  ThreadPool pool(4);
+  for (int round = 0; round < 20; ++round) {
+    expect_full_cover(pool, 32);
+    pool.resize(2 + round % 3);
+    expect_full_cover(pool, 32);
+  }
+  pool.resize(1);
+  expect_full_cover(pool, 8);
+  for (int round = 0; round < 20; ++round) {
+    auto spinning = std::make_unique<ThreadPool>(3);
+    expect_full_cover(*spinning, 16);
+    spinning.reset();  // workers are still inside their spin window
+  }
+  // And after they have parked.
+  auto parked = std::make_unique<ThreadPool>(3);
+  expect_full_cover(*parked, 16);
+  std::this_thread::sleep_for(kPastSpinWindow);
+  parked.reset();
+}
+
+TEST(ThreadPool, CrossPoolNestingWhileEveryChipPoolSpins) {
+  // The sharded-execution shape with every chip pool hot: each round
+  // first runs a loop on every chip pool (so their workers are spinning),
+  // then fans out from the outer pool into all chips at once. Far more
+  // threads than cores end up spinning; progress must not depend on any
+  // of them getting a core.
+  ThreadPool outer(2);
+  std::vector<std::unique_ptr<ThreadPool>> chips;
+  for (int c = 0; c < 4; ++c) chips.push_back(std::make_unique<ThreadPool>(3));
+  const std::int64_t n_chips = static_cast<std::int64_t>(chips.size());
+  const std::int64_t per_chip = 48;
+  for (int round = 0; round < 30; ++round) {
+    for (auto& chip : chips) expect_full_cover(*chip, 8);
+    std::vector<std::atomic<int>> hits(
+        static_cast<std::size_t>(n_chips * per_chip));
+    outer.parallel_for(n_chips, [&](std::int64_t c) {
+      chips[static_cast<std::size_t>(c)]->parallel_for(
+          per_chip, [&](std::int64_t i) {
+            hits[static_cast<std::size_t>(c * per_chip + i)].fetch_add(1);
+          });
+    });
+    for (auto& h : hits) ASSERT_EQ(h.load(), 1) << "round " << round;
+    if (round % 10 == 9) std::this_thread::sleep_for(kPastSpinWindow);
+  }
+}
+
+TEST(ThreadPool, ExceptionsPropagateThroughNestingAndParking) {
+  ThreadPool pool(4);
+  // From an inner loop, through the outer loop, to the outer caller.
+  EXPECT_THROW(pool.parallel_for(4,
+                                 [&](std::int64_t o) {
+                                   pool.parallel_for(16, [&](std::int64_t i) {
+                                     if (o == 2 && i == 11) {
+                                       throw std::runtime_error("inner");
+                                     }
+                                   });
+                                 }),
+               std::runtime_error);
+  expect_full_cover(pool, 100);
+  // From a loop posted to parked workers, every item throwing.
+  std::this_thread::sleep_for(kPastSpinWindow);
+  EXPECT_THROW(pool.parallel_for(
+                   64, [&](std::int64_t) { throw std::logic_error("all"); }),
+               std::logic_error);
+  // The first error wins; the pool stays usable either way.
+  std::this_thread::sleep_for(kPastSpinWindow);
+  expect_full_cover(pool, 100);
 }
 
 TEST(ThreadPool, GlobalSingletonStartsSequential) {
