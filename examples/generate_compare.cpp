@@ -8,7 +8,7 @@
 // analog continuation agrees with the digital one.
 //
 // All continuations are produced by the continuous-batching scheduler
-// (serve::Scheduler) rather than a per-prompt generate() loop: the
+// (serve::Scheduler) rather than a per-prompt decode loop: the
 // prompts share every analog tile pass, and per-request noise-stream
 // keying keeps each continuation independent of the batch composition.
 //

@@ -20,7 +20,8 @@ AnalogMatmul::AnalogMatmul(const Matrix& w, std::vector<float> s,
       s_(std::move(s)),
       dac_(cfg.dac_steps(), 1.0f),
       sshape_(cfg.sshape_k),
-      stream_base_(util::derive_seed(seed, "mvm-streams")) {
+      stream_base_(util::derive_seed(seed, "mvm-streams")),
+      shard_(one_chip_plan()) {
   if (k_ == 0 || n_ == 0) throw std::invalid_argument("AnalogMatmul: empty weights");
   if (s_.empty()) s_.assign(static_cast<std::size_t>(k_), 1.0f);
   if (static_cast<std::int64_t>(s_.size()) != k_) {
@@ -72,12 +73,12 @@ AnalogMatmul::AnalogMatmul(const Matrix& w, std::vector<float> s,
   }
 }
 
-void AnalogMatmul::run_work_item(std::size_t b, std::size_t ti0,
-                                 std::size_t ti1, bool commit_dac,
-                                 std::uint64_t t, std::span<const float> xrow,
-                                 float avg_alpha_b, std::uint64_t epoch,
-                                 std::span<float> y, BlockWork& work) const {
+void AnalogMatmul::run_work_item(std::size_t b, std::size_t ti, StreamKey key,
+                                 std::span<const float> xrow,
+                                 float avg_alpha_b, std::span<float> y,
+                                 TileWork& work) const {
   const RowBlock& block = blocks_[b];
+  const AnalogTile& tile = *block.tiles[ti];
   const std::int64_t nk = block.k1 - block.k0;
   // Per-thread workspace: pool workers (and the calling thread) are
   // long-lived, so these buffers hit their high-water size once and then
@@ -115,17 +116,18 @@ void AnalogMatmul::run_work_item(std::size_t b, std::size_t ti0,
       alpha = avg_alpha_b;
       break;
   }
-  work.tiles.assign(block.tiles.size(), TileRunCounters{});
+  const auto tile_y = y.subspan(static_cast<std::size_t>(block.col0[ti]),
+                                static_cast<std::size_t>(tile.cols()));
   // Bound management [Gokmen'17]: rerun with doubled alpha while the
   // ADC saturates (weaker signal, but no output clipping). Each attempt
-  // keys its own noise streams on (epoch, token, block, attempt), so a
+  // keys its own noise streams on (stream, token, block, attempt), so a
   // retry re-samples fresh hardware noise exactly like a physical rerun.
   const bool use_in_noise = cfg_.in_noise > 0.0f;
   const double in_stddev = cfg_.in_noise;
   int iter = 0;
   for (;;) {
     const std::uint64_t work_key = util::derive_stream(
-        stream_base_, epoch, t,
+        stream_base_, key.stream, key.token,
         (static_cast<std::uint64_t>(b) << 8) | static_cast<std::uint64_t>(iter));
     // The input-noise stream draws exactly one standard normal per
     // element, unconditionally, so the whole attempt's draws batch into
@@ -154,9 +156,8 @@ void AnalogMatmul::run_work_item(std::size_t b, std::size_t ti0,
     if (util::simd::use_avx2()) {
       // Vector stage: scale/clip/quantize eight samples at a time; the
       // S-shape (libm tanh) stays scalar, the additive-noise and l2
-      // epilogues mirror the compiled scalar expressions exactly
-      // (fma-with-zero and the fused l2 += v*v chain), so this branch is
-      // bit-identical to the scalar loop below.
+      // epilogues use the scalar loop's explicit fmas (fma-with-zero and
+      // the fused l2 chain), so this branch is bit-identical to it.
       dac_samples = nk;
       dac_clipped = util::simd::dac_scale_clip_quantize_avx2(
           xs.data(), xhat.data(), static_cast<std::size_t>(nk), inv_alpha,
@@ -187,39 +188,28 @@ void AnalogMatmul::run_work_item(std::size_t b, std::size_t ti0,
         v = dac_.quantize(v);
         v = sshape_.apply(v);
         if (use_in_noise) {
-          v += static_cast<float>(
-              0.0 + in_stddev * ws.in_noise[static_cast<std::size_t>(k)]);
+          v += static_cast<float>(std::fma(
+              in_stddev, ws.in_noise[static_cast<std::size_t>(k)], 0.0));
         }
         xhat[static_cast<std::size_t>(k)] = v;
-        l2 += double(v) * v;
+        l2 = std::fma(double(v), double(v), l2);
       }
     }
     const float x_l2 = static_cast<float>(std::sqrt(l2));
     const std::span<const float> x_hat(xhat.data(),
                                        static_cast<std::size_t>(nk));
-    // Zero exactly the owned tiles' output spans (the full row when the
-    // item owns the whole block — the tile columns tile [0, n) exactly).
-    for (std::size_t ti = ti0; ti < ti1; ++ti) {
-      auto span = y.subspan(static_cast<std::size_t>(block.col0[ti]),
-                            static_cast<std::size_t>(block.tiles[ti]->cols()));
-      std::fill(span.begin(), span.end(), 0.0f);
-    }
-    bool saturated = false;
-    for (std::size_t ti = ti0; ti < ti1; ++ti) {
-      const AnalogTile& tile = *block.tiles[ti];
-      util::Rng tile_rng(util::derive_stream(work_key, 1 + ti));
-      const bool abft = tile.abft_enabled();
-      util::Rng abft_rng(
-          abft ? util::derive_stream(work_key, 0x100000000ull + ti) : 0);
-      saturated |=
-          tile.mvm(x_hat, x_l2, alpha,
-                   y.subspan(static_cast<std::size_t>(block.col0[ti]),
-                             static_cast<std::size_t>(tile.cols())),
-                   tile_rng, abft ? &abft_rng : nullptr, work.tiles[ti],
-                   ws.tile);
-    }
+    std::fill(tile_y.begin(), tile_y.end(), 0.0f);
+    util::Rng tile_rng(util::derive_stream(work_key, 1 + ti));
+    const bool abft = tile.abft_enabled();
+    util::Rng abft_rng(
+        abft ? util::derive_stream(work_key, 0x100000000ull + ti) : 0);
+    const bool saturated =
+        tile.mvm(x_hat, x_l2, alpha, tile_y, tile_rng,
+                 abft ? &abft_rng : nullptr, work.tile, ws.tile);
     if (!saturated || !cfg_.bound_management || iter >= cfg_.bm_max_iters) {
-      if (commit_dac) {
+      // Every tile of a row block converts the same inputs; tile 0's
+      // item alone commits that DAC traffic.
+      if (ti == 0) {
         work.stats.dac_samples += dac_samples;
         work.stats.dac_clipped += dac_clipped;
       }
@@ -233,38 +223,40 @@ void AnalogMatmul::run_work_item(std::size_t b, std::size_t ti0,
   ++work.stats.alpha_count;
 }
 
-Matrix AnalogMatmul::forward(const Matrix& x) { return forward_impl(x, {}); }
+Matrix AnalogMatmul::forward(const Matrix& x) {
+  // Checked before the epoch advances: a rejected call draws no noise.
+  if (x.cols() != k_) throw std::invalid_argument("AnalogMatmul::forward: dim mismatch");
+  // The unkeyed forward is the keyed one on keys {epoch, t}: one stream
+  // (hence one alpha group) per call, rows keyed by their index.
+  epoch_keys_.resize(static_cast<std::size_t>(x.rows()));
+  for (std::size_t t = 0; t < epoch_keys_.size(); ++t) {
+    epoch_keys_[t] = {fwd_epoch_, t};
+  }
+  ++fwd_epoch_;
+  return forward(x, epoch_keys_);
+}
 
 Matrix AnalogMatmul::forward(const Matrix& x, std::span<const StreamKey> keys) {
   if (static_cast<std::int64_t>(keys.size()) != x.rows()) {
     throw std::invalid_argument(
         "AnalogMatmul::forward: one StreamKey per row required");
   }
-  return forward_impl(x, keys);
-}
-
-Matrix AnalogMatmul::forward_impl(const Matrix& x,
-                                  std::span<const StreamKey> keys) {
   if (x.cols() != k_) throw std::invalid_argument("AnalogMatmul::forward: dim mismatch");
   const std::int64_t t_count = x.rows();
-  const bool keyed = !keys.empty();
   Matrix y(t_count, n_);
   // For the kAvgAbsMax policy the scale is shared across an alpha
-  // group: the whole call in the legacy path, each contiguous run of
-  // rows with equal StreamKey::stream in the keyed path (so a request's
-  // alpha never depends on its batch neighbours).
+  // group: each contiguous run of rows with equal StreamKey::stream (so
+  // a request's alpha never depends on its batch neighbours).
   std::vector<std::int64_t>& group_of = group_of_;  // row -> alpha-group index
   std::int64_t n_groups = t_count > 0 ? 1 : 0;
   if (t_count > 0) {
     group_of.assign(static_cast<std::size_t>(t_count), 0);
-    if (keyed) {
-      for (std::int64_t t = 1; t < t_count; ++t) {
-        if (keys[static_cast<std::size_t>(t)].stream !=
-            keys[static_cast<std::size_t>(t - 1)].stream) {
-          ++n_groups;
-        }
-        group_of[static_cast<std::size_t>(t)] = n_groups - 1;
+    for (std::int64_t t = 1; t < t_count; ++t) {
+      if (keys[static_cast<std::size_t>(t)].stream !=
+          keys[static_cast<std::size_t>(t - 1)].stream) {
+        ++n_groups;
       }
+      group_of[static_cast<std::size_t>(t)] = n_groups - 1;
     }
   }
   std::vector<float>& avg_alpha = avg_alpha_;
@@ -298,83 +290,17 @@ Matrix AnalogMatmul::forward_impl(const Matrix& x,
       if (a <= 0.0f) a = 1.0f;
     }
   }
-  // Fan the (token x row-block) work items over the pool. Each item
-  // writes a private output slice and a private BlockWork; the shared
-  // state (stats_, y rows, tile counters) is updated afterwards in
-  // canonical (token, row-block) order, so the float accumulation order
-  // and every statistic are independent of the thread count.
-  const std::uint64_t epoch = keyed ? 0 : fwd_epoch_++;
-  const std::int64_t n_blocks = static_cast<std::int64_t>(blocks_.size());
-  const bool parallel = cfg_.n_threads > 1;
-  if (parallel) util::ThreadPool::global().ensure(cfg_.n_threads);
-  // Token chunking bounds the private-slice memory at ~16 MB while still
+  if (!sharded_ && cfg_.n_threads > 1) {
+    util::ThreadPool::global().ensure(cfg_.n_threads);
+  }
+  // Token chunking bounds the partial-sum memory at ~16 MB while still
   // exposing enough items to keep every worker busy.
   const std::int64_t budget = std::int64_t{1} << 22;  // floats
   const std::int64_t chunk = std::clamp<std::int64_t>(
-      budget / std::max<std::int64_t>(1, n_blocks * n_), 1,
+      budget / std::max<std::int64_t>(1, row_blocks() * n_), 1,
       std::max<std::int64_t>(1, t_count));
-  // Member scratch: assign() resets contents but retains capacity (and,
-  // for works_, each BlockWork's inner counter capacity), so repeated
-  // forwards of the same shape — every decode step — reuse the same
-  // storage with no allocation.
-  std::vector<float>& partial = partial_;
-  std::vector<BlockWork>& works = works_;
   for (std::int64_t tc0 = 0; tc0 < t_count; tc0 += chunk) {
-    const std::int64_t tc1 = std::min(t_count, tc0 + chunk);
-    if (sharded_) {
-      run_chunk_sharded(x, keys, epoch, tc0, tc1, n_groups, y);
-      continue;
-    }
-    const std::int64_t items = (tc1 - tc0) * n_blocks;
-    partial.resize(static_cast<std::size_t>(items * n_));
-    works.assign(static_cast<std::size_t>(items), BlockWork{});
-    auto run_item = [&](std::int64_t i) {
-      const std::int64_t t = tc0 + i / n_blocks;
-      const std::size_t b = static_cast<std::size_t>(i % n_blocks);
-      const std::uint64_t row_epoch =
-          keyed ? keys[static_cast<std::size_t>(t)].stream : epoch;
-      const std::uint64_t row_token =
-          keyed ? keys[static_cast<std::size_t>(t)].token
-                : static_cast<std::uint64_t>(t);
-      run_work_item(b, 0, blocks_[b].tiles.size(), true, row_token, x.row(t),
-                    avg_alpha[b * static_cast<std::size_t>(n_groups) +
-                              static_cast<std::size_t>(
-                                  group_of[static_cast<std::size_t>(t)])],
-                    row_epoch,
-                    std::span<float>(partial.data() + i * n_,
-                                     static_cast<std::size_t>(n_)),
-                    works[static_cast<std::size_t>(i)]);
-    };
-    if (parallel) {
-      util::ThreadPool::global().parallel_for(items, run_item);
-    } else {
-      for (std::int64_t i = 0; i < items; ++i) run_item(i);
-    }
-    // Deterministic serial reduction.
-    for (std::int64_t t = tc0; t < tc1; ++t) {
-      auto yrow = y.row(t);
-      for (std::int64_t b = 0; b < n_blocks; ++b) {
-        const std::int64_t i = (t - tc0) * n_blocks + b;
-        BlockWork& work = works[static_cast<std::size_t>(i)];
-        stats_.accumulate(work.stats);
-        const float* p = partial.data() + i * n_;
-        for (std::int64_t j = 0; j < n_; ++j) yrow[j] += p[j];
-        auto& tiles = blocks_[static_cast<std::size_t>(b)].tiles;
-        for (std::size_t ti = 0; ti < tiles.size(); ++ti) {
-          tiles[ti]->add_run_counters(work.tiles[ti]);
-        }
-      }
-      // Non-finite guard: a NaN/Inf here would silently poison every
-      // downstream layer; fail loudly, naming the offender instead.
-      for (std::int64_t j = 0; j < n_; ++j) {
-        if (!std::isfinite(yrow[j])) {
-          throw std::runtime_error(
-              "AnalogMatmul[" + (label_.empty() ? "?" : label_) +
-              "]: non-finite output at token " + std::to_string(t) +
-              ", column " + std::to_string(j));
-        }
-      }
-    }
+    run_chunk(x, keys, tc0, std::min(t_count, tc0 + chunk), n_groups, y);
   }
   return y;
 }
@@ -392,39 +318,38 @@ void AnalogMatmul::set_shard_plan(ShardPlan plan) {
 }
 
 void AnalogMatmul::clear_shard_plan() {
-  shard_ = ShardPlan{};
+  shard_ = one_chip_plan();
   sharded_ = false;
 }
 
-void AnalogMatmul::run_chunk_sharded(const Matrix& x,
-                                     std::span<const StreamKey> keys,
-                                     std::uint64_t epoch, std::int64_t tc0,
-                                     std::int64_t tc1, std::int64_t n_groups,
-                                     Matrix& y) {
-  const bool keyed = !keys.empty();
-  const std::int64_t n_blocks = static_cast<std::int64_t>(blocks_.size());
+ShardPlan AnalogMatmul::one_chip_plan() const {
+  ShardPlan plan;
+  plan.pools = {cfg_.n_threads > 1 ? &util::ThreadPool::global() : nullptr};
+  return plan;
+}
+
+void AnalogMatmul::run_chunk(const Matrix& x, std::span<const StreamKey> keys,
+                             std::int64_t tc0, std::int64_t tc1,
+                             std::int64_t n_groups, Matrix& y) {
+  const std::int64_t n_blocks = row_blocks();
   const std::int64_t n_cols = col_blocks();
   const std::int64_t rows = tc1 - tc0;
   const std::int64_t slots = rows * n_blocks;   // (token, row-block) rows
   const std::int64_t items = slots * n_cols;    // (token, row-block, tile)
+  // Member scratch: assign() resets contents but retains capacity, so
+  // repeated forwards of the same shape — every decode step — reuse the
+  // same storage with no allocation.
   partial_.resize(static_cast<std::size_t>(slots * n_));
-  works_.assign(static_cast<std::size_t>(items), BlockWork{});
+  works_.assign(static_cast<std::size_t>(items), TileWork{});
   auto run_item = [&](std::int64_t i) {
     const std::int64_t t = tc0 + i / (n_blocks * n_cols);
-    const std::int64_t rem = i % (n_blocks * n_cols);
-    const std::size_t b = static_cast<std::size_t>(rem / n_cols);
-    const std::size_t ti = static_cast<std::size_t>(rem % n_cols);
-    const std::uint64_t row_epoch =
-        keyed ? keys[static_cast<std::size_t>(t)].stream : epoch;
-    const std::uint64_t row_token =
-        keyed ? keys[static_cast<std::size_t>(t)].token
-              : static_cast<std::uint64_t>(t);
-    const std::int64_t slot = (t - tc0) * n_blocks + static_cast<std::int64_t>(b);
-    run_work_item(b, ti, ti + 1, ti == 0, row_token, x.row(t),
+    const std::int64_t slot = i / n_cols;  // (t - tc0) * n_blocks + b
+    const std::size_t b = static_cast<std::size_t>(slot % n_blocks);
+    const std::size_t ti = static_cast<std::size_t>(i % n_cols);
+    run_work_item(b, ti, keys[static_cast<std::size_t>(t)], x.row(t),
                   avg_alpha_[b * static_cast<std::size_t>(n_groups) +
                              static_cast<std::size_t>(
                                  group_of_[static_cast<std::size_t>(t)])],
-                  row_epoch,
                   std::span<float>(partial_.data() + slot * n_,
                                    static_cast<std::size_t>(n_)),
                   works_[static_cast<std::size_t>(i)]);
@@ -449,15 +374,15 @@ void AnalogMatmul::run_chunk_sharded(const Matrix& x,
     const std::int64_t chip = extent > 0 ? e * n_chips / extent : 0;
     chip_items_[static_cast<std::size_t>(chip)].push_back(i);
   }
-  // Chips execute concurrently (outer fan over the global pool), each
-  // draining its own item list on its own pool domain. Items write
-  // disjoint column spans of their (token, row-block) partial row and
-  // private BlockWork slots, so the fan-out is race-free by layout.
+  // Chips execute concurrently (outer fan over the global pool; one chip
+  // runs inline), each draining its own item list on its own pool domain
+  // (a nullptr pool runs the list inline). Items write disjoint column
+  // spans of their (token, row-block) partial row and private TileWork
+  // slots, so the fan-out is race-free by layout.
   util::ThreadPool& host = util::ThreadPool::global();
   host.ensure(n_chips);
   host.parallel_for(n_chips, [&](std::int64_t c) {
     const auto& list = chip_items_[static_cast<std::size_t>(c)];
-    if (list.empty()) return;
     util::ThreadPool* pool = shard_.pools[static_cast<std::size_t>(c)];
     auto run_local = [&](std::int64_t j) {
       run_item(list[static_cast<std::size_t>(j)]);
@@ -479,10 +404,9 @@ void AnalogMatmul::run_chunk_sharded(const Matrix& x,
       auto& tiles = blocks_[static_cast<std::size_t>(b)].tiles;
       for (std::int64_t ti = 0; ti < n_cols; ++ti) {
         const std::int64_t i = ((t - tc0) * n_blocks + b) * n_cols + ti;
-        BlockWork& work = works_[static_cast<std::size_t>(i)];
+        const TileWork& work = works_[static_cast<std::size_t>(i)];
         stats_.accumulate(work.stats);
-        tiles[static_cast<std::size_t>(ti)]->add_run_counters(
-            work.tiles[static_cast<std::size_t>(ti)]);
+        tiles[static_cast<std::size_t>(ti)]->add_run_counters(work.tile);
       }
     }
     float* base = partial_.data() + (t - tc0) * n_blocks * n_;

@@ -38,14 +38,15 @@ enum class ShardAxis : std::uint8_t {
                    // split: chips produce disjoint output columns)
 };
 
-/// Multi-chip execution plan for ONE AnalogMatmul: the logical tile grid
-/// stays a single unit (weights, streams and statistics are untouched),
-/// but its (token, row-block, tile) work items are partitioned over
-/// `n_chips` contiguous ranges of `axis`, each executed on that chip's
-/// own ThreadPool domain. Because the sharded path always runs at
-/// per-tile work-item granularity with a canonical-order reduction, the
-/// output bits are invariant under axis, chip count AND per-chip thread
-/// count — the plan only decides WHERE each item runs.
+/// Execution plan for ONE AnalogMatmul: the logical tile grid stays a
+/// single unit (weights, streams and statistics are untouched), but its
+/// (token, row-block, tile) work items are partitioned over `n_chips`
+/// contiguous ranges of `axis`, each executed on that chip's own
+/// ThreadPool domain. Every forward runs through a plan — a unit with
+/// none installed uses a one-chip plan on the global pool — always at
+/// per-tile work-item granularity with a canonical-order reduction, so
+/// the output bits are invariant under axis, chip count AND per-chip
+/// thread count: the plan only decides WHERE each item runs.
 struct ShardPlan {
   ShardAxis axis = ShardAxis::kRowBlocks;
   int n_chips = 1;
@@ -67,11 +68,13 @@ struct StreamKey {
 };
 
 struct ArrayStats {
-  double alpha_sum = 0.0;          // sum of final per-(token, block) alphas
+  // One alpha per (token, row-block, tile) work item: the scale of its
+  // accepted bound-management attempt.
+  double alpha_sum = 0.0;
   std::int64_t alpha_count = 0;
   std::int64_t dac_samples = 0;
   std::int64_t dac_clipped = 0;    // |x/alpha/s| > 1 before quantization
-  std::int64_t bm_retries = 0;     // bound-management re-runs
+  std::int64_t bm_retries = 0;     // bound-management re-runs (per tile)
 
   double mean_alpha() const {
     return alpha_count > 0 ? alpha_sum / static_cast<double>(alpha_count) : 0.0;
@@ -116,28 +119,26 @@ class AnalogMatmul {
   void set_label(std::string label) { label_ = std::move(label); }
   const std::string& label() const { return label_; }
 
-  /// x: [T x K] activations. Returns [T x N]. Every noise draw comes
-  /// from a counter-keyed stream derived from (construction seed,
-  /// forward-call index, token, row-block, bound-management attempt,
-  /// tile), so the result is deterministic given the construction seed
-  /// and the forward-call sequence — and bit-identical for ANY value of
-  /// cfg.n_threads, since no stream depends on execution order. The
-  /// (token x row-block) work items fan out over the global thread pool
-  /// when cfg.n_threads > 1. Throws std::runtime_error naming the layer
-  /// label, token and column if any output is NaN/Inf — non-finite
-  /// values must not propagate silently into the rest of the
-  /// transformer.
-  Matrix forward(const Matrix& x);
-
-  /// Keyed forward: row t draws its noise from (construction seed,
-  /// keys[t].stream, keys[t].token, ...) instead of the internal
-  /// forward-call epoch and row index, and does NOT advance the epoch
-  /// counter. Rows with equal `stream` form a group: under the
-  /// kAvgAbsMax policy the shared alpha is averaged per contiguous
-  /// group rather than over the whole call, so a group's result does
-  /// not depend on what else shares the batch. Statistics accumulate
-  /// exactly like the unkeyed forward.
+  /// x: [T x K] activations. Returns [T x N]. Row t draws every noise
+  /// sample from a counter-keyed stream derived from (construction seed,
+  /// keys[t].stream, keys[t].token, row-block, bound-management attempt,
+  /// tile), so the result is a pure function of the keys — bit-identical
+  /// for ANY plan and value of cfg.n_threads, since no stream depends on
+  /// execution order. Rows with equal `stream` form a group: under the
+  /// kAvgAbsMax policy the shared alpha is averaged per contiguous group,
+  /// so a group's result does not depend on what else shares the batch.
+  /// The (token, row-block, tile) work items run on the installed plan,
+  /// or on the global thread pool when cfg.n_threads > 1. Throws
+  /// std::runtime_error naming the layer label, token and column if any
+  /// output is NaN/Inf — non-finite values must not propagate silently
+  /// into the rest of the transformer.
   Matrix forward(const Matrix& x, std::span<const StreamKey> keys);
+
+  /// Unkeyed forward: the keyed forward on keys {epoch, t}, where the
+  /// epoch is a forward-call counter that advances once per accepted
+  /// call (a dimension mismatch throws before it advances). The result
+  /// is deterministic given the construction seed and the call sequence.
+  Matrix forward(const Matrix& x);
 
   /// PCM drift: re-read all tiles t seconds after programming.
   void set_read_time(float t_seconds);
@@ -146,18 +147,14 @@ class AnalogMatmul {
   /// Install a multi-chip execution plan (see ShardPlan). Validates that
   /// pools has exactly plan.n_chips entries and n_chips >= 1; throws
   /// std::invalid_argument otherwise. Must not be called while a forward
-  /// is in flight. The sharded path differs from the unsharded one in
-  /// two DOCUMENTED, deterministic ways: (a) partial sums reduce over
-  /// row blocks through a canonical stride-doubling tree instead of the
-  /// legacy linear fold, and (b) bound management retries per TILE
-  /// rather than per row block (each chip re-runs only its own arrays,
-  /// so alpha_count counts per-tile attempts). Neither depends on the
-  /// plan: any (axis, n_chips, threads) choice yields identical bits.
+  /// is in flight. Any (axis, n_chips, threads) choice yields the same
+  /// bits as the default one-chip plan.
   void set_shard_plan(ShardPlan plan);
-  /// Return to the unsharded execution path.
+  /// Return to the default one-chip plan.
   void clear_shard_plan();
+  /// True while a set_shard_plan plan is installed.
   bool sharded() const { return sharded_; }
-  /// The installed plan, or nullptr when unsharded.
+  /// The installed plan, or nullptr when none is.
   const ShardPlan* shard_plan() const { return sharded_ ? &shard_ : nullptr; }
 
   // --- analytics for Fig. 6 ---
@@ -210,44 +207,39 @@ class AnalogMatmul {
     std::vector<std::int64_t> col0;             // output-dim offsets
   };
 
-  /// Everything one (token, row-block) work item produces besides its
-  /// output slice: DAC/alpha/bound-management stats plus the per-tile
+  /// Everything one (token, row-block, tile) work item produces besides
+  /// its output span: DAC/alpha/bound-management stats plus the tile's
   /// runtime counters. Held privately per work item and folded into the
-  /// shared state serially, in canonical (token, row-block) order, so
-  /// the accumulated statistics are race-free AND bit-identical for any
-  /// thread count.
-  struct BlockWork {
+  /// shared state serially, in canonical (token, row-block, tile) order,
+  /// so the accumulated statistics are race-free AND bit-identical for
+  /// any plan and thread count.
+  struct TileWork {
     ArrayStats stats;
-    std::vector<TileRunCounters> tiles;  // one per column-block tile
+    TileRunCounters tile;
   };
 
-  /// Run one (token, row-block, tile-range) work item: input rescale ->
-  /// DAC -> non-idealities -> tile MVMs over tiles [ti0, ti1), with the
-  /// bound-management retry loop inside. All randomness comes from
-  /// streams keyed on (epoch, t, b, attempt, tile) with GLOBAL tile
-  /// indices, so any partition of a block's tiles into work items draws
-  /// identical bits. `y` is the block's full output row (width n_); the
-  /// item touches only its owned tiles' column spans. `commit_dac` dedups
-  /// the per-block DAC traffic counters when a block is split into
-  /// several items (exactly one of them — tiles [0, x) — commits).
-  /// Thread-safe for concurrent calls with distinct (t, b, tile-range).
-  void run_work_item(std::size_t b, std::size_t ti0, std::size_t ti1,
-                     bool commit_dac, std::uint64_t t,
+  /// Run one (token, row-block, tile) work item: input rescale -> DAC ->
+  /// non-idealities -> tile MVM, with the bound-management retry loop
+  /// inside. All randomness comes from streams keyed on (key.stream,
+  /// key.token, b, attempt, tile). `y` is the (token, row-block) partial
+  /// row (width n_); the item writes only its tile's column span. Tile
+  /// 0's item commits the block's DAC traffic counters. Thread-safe for
+  /// concurrent calls with distinct (token, b, ti).
+  void run_work_item(std::size_t b, std::size_t ti, StreamKey key,
                      std::span<const float> xrow, float avg_alpha_b,
-                     std::uint64_t epoch, std::span<float> y,
-                     BlockWork& work) const;
+                     std::span<float> y, TileWork& work) const;
 
-  /// Sharded execution of one token chunk [tc0, tc1): per-tile work
-  /// items fan out over the plan's chip pools, then partial sums reduce
-  /// through the canonical tree and statistics fold in (t, b, tile)
-  /// order. Bit-identical for any plan.
-  void run_chunk_sharded(const Matrix& x, std::span<const StreamKey> keys,
-                         std::uint64_t epoch, std::int64_t tc0,
-                         std::int64_t tc1, std::int64_t n_groups, Matrix& y);
+  /// Execute one token chunk [tc0, tc1): per-tile work items fan out
+  /// over the plan's chip pools, then partial sums reduce over row
+  /// blocks through the canonical tree and statistics fold in (t, b,
+  /// tile) order. Bit-identical for any plan.
+  void run_chunk(const Matrix& x, std::span<const StreamKey> keys,
+                 std::int64_t tc0, std::int64_t tc1, std::int64_t n_groups,
+                 Matrix& y);
 
-  /// Shared body of both forward overloads; `keys` empty selects the
-  /// legacy (epoch, row-index) keying.
-  Matrix forward_impl(const Matrix& x, std::span<const StreamKey> keys);
+  /// The plan a unit runs when none is installed: one chip on the
+  /// global pool, or inline when cfg.n_threads <= 1.
+  ShardPlan one_chip_plan() const;
 
   /// Resolve logical (k, n) to the owning tile and its local (col j,
   /// row k) coordinates. Throws std::invalid_argument when out of range.
@@ -262,24 +254,25 @@ class AnalogMatmul {
   noise::UniformQuantizer dac_;
   noise::SShapeNonlinearity sshape_;
   /// Root of all runtime noise streams; per-work-item streams are
-  /// derived from it with derive_stream(stream_base_, epoch, t, ...).
+  /// derived from it with derive_stream(stream_base_, stream, token, ...).
   std::uint64_t stream_base_ = 0;
-  /// Forward-call counter: successive forwards use fresh, decorrelated
-  /// noise streams (the parallel analogue of an advancing sequential
-  /// RNG state).
+  /// Forward-call counter of the unkeyed forward: successive calls use
+  /// fresh, decorrelated noise streams (the parallel analogue of an
+  /// advancing sequential RNG state).
   std::uint64_t fwd_epoch_ = 0;
   ArrayStats stats_;
   std::vector<WearRecord> wear_;  // permanent post-deployment faults
-  // forward_impl scratch, reused across calls (assign() keeps capacity)
-  // so steady-state decode steps allocate nothing here. forward() was
-  // never safe to call concurrently on one AnalogMatmul (fwd_epoch_,
-  // stats_); these add no new restriction.
+  // forward scratch, reused across calls (assign() keeps capacity) so
+  // steady-state decode steps allocate nothing here. forward() was never
+  // safe to call concurrently on one AnalogMatmul (fwd_epoch_, stats_);
+  // these add no new restriction.
+  std::vector<StreamKey> epoch_keys_;
   std::vector<std::int64_t> group_of_;
   std::vector<float> avg_alpha_;
   std::vector<float> partial_;
-  std::vector<BlockWork> works_;
-  // multi-chip execution plan (see set_shard_plan) + per-chip item lists
-  // (scratch, same reuse story as the buffers above)
+  std::vector<TileWork> works_;
+  // execution plan (installed, or the one-chip default) + per-chip item
+  // lists (scratch, same reuse story as the buffers above)
   ShardPlan shard_;
   bool sharded_ = false;
   std::vector<std::vector<std::int64_t>> chip_items_;

@@ -1,11 +1,12 @@
-// KV-cached incremental decoding.
+// KV cache for incremental decoding.
 //
 // Autoregressive generation re-uses the attention keys/values of past
 // positions instead of re-running the whole prefix — the standard LLM
-// serving optimization. The cached path must be numerically identical
-// to the full-context forward (unit-tested), on digital and analog
-// backends alike; on analog tiles it also models the realistic serving
-// pattern where each generated token makes one pass through the tiles.
+// serving optimization. TransformerLM::forward_serve reads and extends
+// these caches (a single request is a one-segment batch); its logits
+// must match the full-context forward (unit-tested), on digital and
+// ideal-analog backends alike. On analog tiles each generated token
+// makes one pass through the tiles, the realistic serving pattern.
 #pragma once
 
 #include <cstdint>

@@ -17,16 +17,18 @@ constexpr float kVerifyAttenuation = 0.3f;
 float ProgrammingNoise::sigma(float w_hat) const {
   if (!enabled()) return 0.0f;
   const float g = std::fabs(w_hat);  // target conductance of the active device
-  const float s = kC0 + kC1 * g + kC2 * g * g;
+  // Explicit fmas: the conductances must not depend on whether the
+  // compiler may contract a*b + c (it does only when FMA is enabled).
+  const float s = std::fma(kC2 * g, g, std::fma(kC1, g, kC0));
   return scale_ * std::max(s, 0.0f);
 }
 
 float ProgrammingNoise::correct(float current_error, float target,
                                 util::Rng& rng) const {
   if (!enabled()) return current_error;
-  return kVerifyAttenuation * current_error +
-         static_cast<float>(
-             rng.gaussian(0.0, kVerifyAttenuation * sigma(target)));
+  return std::fma(kVerifyAttenuation, current_error,
+                  static_cast<float>(
+                      rng.gaussian(0.0, kVerifyAttenuation * sigma(target))));
 }
 
 float ProgrammingNoise::residual_error(float target, int iters,
@@ -35,8 +37,8 @@ float ProgrammingNoise::residual_error(float target, int iters,
   const float s = sigma(target);
   float err = static_cast<float>(rng.gaussian(0.0, s));
   for (int it = 1; it < iters; ++it) {
-    err = kVerifyAttenuation * err +
-          static_cast<float>(rng.gaussian(0.0, kVerifyAttenuation * s));
+    err = std::fma(kVerifyAttenuation, err,
+                   static_cast<float>(rng.gaussian(0.0, kVerifyAttenuation * s)));
   }
   return err;
 }

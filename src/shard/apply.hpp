@@ -24,8 +24,8 @@ namespace nora::shard {
 void apply_plan(nn::TransformerLM& model, ChipSet& chips,
                 const PipelinePlan& plan);
 
-/// Remove all shard plans and chip stamps: back to single-chip
-/// execution on the legacy (linear-fold) path.
+/// Remove all shard plans and chip stamps: back to each layer's
+/// default one-chip plan.
 void clear_plan(nn::TransformerLM& model);
 
 }  // namespace nora::shard

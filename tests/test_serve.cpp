@@ -170,7 +170,8 @@ TEST(ServeBatchInvariance, NoiseIsLiveAndStreamKeyed) {
 
 TEST(ServeBatchInvariance, DigitalSchedulerMatchesGenerate) {
   // On the digital backend the serve path must reproduce plain greedy
-  // generate() exactly — batching may not change any request's output.
+  // decoding — repeated predict_next over the full sequence — exactly:
+  // batching may not change any request's output.
   nn::TransformerLM model(tiny_arch());
   SchedulerConfig cfg;
   cfg.max_batch = 3;
@@ -184,7 +185,12 @@ TEST(ServeBatchInvariance, DigitalSchedulerMatchesGenerate) {
   }
   sched.run_until_idle();
   for (std::size_t j = 0; j < kJobs.size(); ++j) {
-    const auto expect = model.generate(kJobs[j].prompt, kJobs[j].max_new);
+    std::vector<int> seq = kJobs[j].prompt;
+    std::vector<int> expect;
+    for (int n = 0; n < kJobs[j].max_new; ++n) {
+      expect.push_back(model.predict_next(seq));
+      seq.push_back(expect.back());
+    }
     EXPECT_EQ(sched.request(ids[j]).tokens, expect) << "job " << j;
   }
 }

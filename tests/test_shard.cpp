@@ -141,10 +141,7 @@ TEST(ChipInvariance, MatmulBitIdenticalAcrossChipAndThreadCounts) {
   const Matrix x = random_matrix(6, 70, 808, 1.0f);
   util::ThreadPool::global().resize(1);
 
-  // Reference: sharded path on ONE chip, sequential pool. (The sharded
-  // path's canonical tree reduce and per-tile bound management differ
-  // deterministically from the legacy fold; invariance is sharded vs
-  // sharded, which is exactly what multi-chip deployments compare.)
+  // Reference: an installed plan on ONE chip, sequential pool.
   auto run = [&](cim::ShardAxis axis, int n_chips, int threads_per_chip,
                  cim::ArrayStats* stats_out) {
     shard::ChipSet chips(n_chips, threads_per_chip);
@@ -233,12 +230,12 @@ TEST(ChipInvariance, PipelinePlacementDoesNotChangeBits) {
   util::ThreadPool::global().resize(1);
 }
 
-TEST(ChipInvariance, ClearPlanRestoresLegacyPath) {
+TEST(ChipInvariance, ClearPlanRestoresOneChipPlan) {
   const Matrix w = random_matrix(70, 50, 909);
   const Matrix x = random_matrix(4, 70, 808, 1.0f);
   util::ThreadPool::global().resize(1);
-  cim::AnalogMatmul legacy(w, {}, everything_on(), 777);
-  const Matrix ref = legacy.forward(x);
+  cim::AnalogMatmul unplanned(w, {}, everything_on(), 777);
+  const Matrix ref = unplanned.forward(x);
   shard::ChipSet chips(2);
   cim::AnalogMatmul unit(w, {}, everything_on(), 777);
   cim::ShardPlan plan;
@@ -248,7 +245,7 @@ TEST(ChipInvariance, ClearPlanRestoresLegacyPath) {
   EXPECT_TRUE(unit.sharded());
   unit.clear_shard_plan();
   EXPECT_FALSE(unit.sharded());
-  // After clearing, epoch 0 replays the exact legacy bits.
+  // After clearing, epoch 0 replays the default one-chip plan's bits.
   EXPECT_TRUE(bitwise_equal(unit.forward(x), ref));
 }
 
@@ -284,7 +281,7 @@ TEST(ShardGolden, ShardedForwardMatchesPinnedValues) {
     EXPECT_EQ(y.at(g.t, g.j), g.v) << "t=" << g.t << " j=" << g.j;
   }
   // Converter traffic is part of the contract (same DAC/ADC totals as
-  // the legacy path: sharding never changes WHAT runs, only where).
+  // the one-chip plan: sharding never changes WHAT runs, only where).
   EXPECT_EQ(unit.stats().dac_samples, 350);
   EXPECT_EQ(unit.adc_reads(), 750);
   EXPECT_EQ(unit.abft_stats().checks, 45);
@@ -513,9 +510,7 @@ TEST(ServeShard, PipelinedServeCountsLinkTrafficAndStaysBitExact) {
   EXPECT_GT(sharded_m.sim_link_transfers, 0);  // 2-chip pipeline crossed
   EXPECT_GT(sharded_m.sim_link_ps, 0);
   // Token bits: pipeline sharding at 2 chips == TP sharding at 1 chip
-  // (chip invariance through the whole serving stack). The unsharded
-  // LEGACY path is a different (also deterministic) reduction order, so
-  // the comparison baseline is the 1-chip plan.
+  // (chip invariance through the whole serving stack).
   auto one_chip_tokens = [&]() {
     util::ThreadPool::global().resize(1);
     nn::TransformerLM model = make_analog_model();
